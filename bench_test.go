@@ -417,13 +417,10 @@ func BenchmarkMultipartyJoin(b *testing.B) {
 }
 
 // BenchmarkEngineProtectParallel measures the ppclustd serving engine on a
-// 100k x 16 workload: the serial facade path first, then the worker-pool
-// engine at 1/2/4/8 workers on both storage layouts — the row-major
-// kernels ("rows") and the default cache-blocked columnar kernels
-// ("workers=N"), which produce bit-identical releases. The arena variant
-// reuses caller-owned buffers across iterations (steady-state protect,
-// near-zero allocation) and the float32 variant runs the opt-in
-// reduced-precision kernel.
+// 100k x 16 workload: the serial facade path (core.Transform) first, then
+// the engine's columnar kernel at 1/2/4/8 workers. serial and workers=1
+// are both single-threaded, so their ratio is independent of the
+// runner's core count; CI gates on it.
 func BenchmarkEngineProtectParallel(b *testing.B) {
 	const m, n = 100_000, 16
 	data := matrix.RandomDense(m, n, rand.New(rand.NewSource(40)))
@@ -457,45 +454,12 @@ func BenchmarkEngineProtectParallel(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("rows/workers=%d", w), func(b *testing.B) {
-			eng := engine.New(w, 0)
-			opts := eopts
-			opts.Layout = engine.LayoutRows
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Protect(data, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
-	b.Run("arena/workers=8", func(b *testing.B) {
-		eng := engine.New(8, 0)
-		opts := eopts
-		opts.Arena = &engine.Arena{}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Protect(data, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("float32/workers=8", func(b *testing.B) {
-		eng := engine.New(8, 0)
-		opts := eopts
-		opts.Precision = engine.PrecisionFloat32
-		opts.Arena = &engine.Arena{}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Protect(data, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkEngineRecoverParallel measures the fused inverse (rotations +
-// denormalization in one pass) on the same 100k x 16 workload.
+// denormalization in one pass, StreamProtector.RecoverBatch — what
+// /v1/recover runs) on the same 100k x 16 workload.
 func BenchmarkEngineRecoverParallel(b *testing.B) {
 	data := matrix.RandomDense(100_000, 16, rand.New(rand.NewSource(41)))
 	res, err := engine.Default().Protect(data, engine.ProtectOptions{
@@ -508,10 +472,13 @@ func BenchmarkEngineRecoverParallel(b *testing.B) {
 	for _, w := range []int{1, 4} {
 		w := w
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := engine.New(w, 0)
+			sp, err := engine.New(w, 0).NewStreamProtector(sec)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Recover(res.Released, sec); err != nil {
+				if _, err := sp.RecoverBatch(res.Released); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,19 +3,18 @@ package main
 // HTTP-level coverage for the framed binary wire path: ingest parity
 // with the text formats (same stored bytes, same rejections), the
 // protect stream in binary end to end, forwarding binary bodies across
-// the ring, and the mixed-version replication fallback to the legacy
-// JSON transfer.
+// the ring, and binary-only replication.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ppclust/internal/codec"
@@ -246,49 +245,35 @@ func TestRingForwardsBinaryBodies(t *testing.T) {
 	}
 }
 
-// TestReplicationFallsBackToJSONPeer: a peer that rejects the binary
-// replication body with a 4xx — an older build mid-upgrade — gets the
-// legacy JSON transfer on the same call, so mixed-version rings keep
-// replicating.
-func TestReplicationFallsBackToJSONPeer(t *testing.T) {
+// TestReplicationPeerRejectionIsError: replication is binary-only, so a
+// peer that answers the binary body with a 400 surfaces as an error after
+// exactly one request — no retry in another format.
+func TestReplicationPeerRejectionIsError(t *testing.T) {
 	nodes := startRing(t, 1, 0, "")
 	nd := nodes[0]
 
-	csvBody, orig := testCSV(t, 50, 4)
+	csvBody, _ := testCSV(t, 50, 4)
 	uploadDataset(t, nd.srv, "fbowner", "d", "", "", csvBody)
 	ds, err := nd.store.Get("fbowner", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var sawBinary, sawJSON bool
-	var imported datasetTransfer
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != "/v1/ring/replicate/dataset" {
-			t.Errorf("unexpected call %s %s", r.Method, r.URL.Path)
-			http.NotFound(w, r)
-			return
+	var calls atomic.Int32
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(ct, codec.ContentType) {
+			t.Errorf("replication sent Content-Type %q, want %s", ct, codec.ContentType)
 		}
-		if strings.HasPrefix(r.Header.Get("Content-Type"), codec.ContentType) {
-			sawBinary = true
-			http.Error(w, `{"error":{"code":"invalid","message":"unknown content type"}}`, http.StatusBadRequest)
-			return
-		}
-		sawJSON = true
-		if err := json.NewDecoder(r.Body).Decode(&imported); err != nil {
-			t.Error(err)
-		}
-		w.WriteHeader(http.StatusOK)
+		http.Error(w, `{"error":{"code":"invalid","message":"rejected"}}`, http.StatusBadRequest)
 	}))
-	t.Cleanup(legacy.Close)
+	t.Cleanup(peer.Close)
 
-	if err := nd.rt.sendDataset(context.Background(), legacy.URL, ds); err != nil {
-		t.Fatalf("sendDataset against legacy peer: %v", err)
+	err = nd.rt.sendDataset(context.Background(), peer.URL, ds)
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("sendDataset against a rejecting peer: err = %v, want a 400 error", err)
 	}
-	if !sawBinary || !sawJSON {
-		t.Fatalf("binary tried = %v, json fallback = %v; want both", sawBinary, sawJSON)
-	}
-	if imported.Owner != "fbowner" || imported.Name != "d" || len(imported.Rows) != orig.Rows() {
-		t.Fatalf("legacy transfer = owner %q name %q rows %d", imported.Owner, imported.Name, len(imported.Rows))
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("peer saw %d requests, want exactly 1", n)
 	}
 }

@@ -1,26 +1,25 @@
-// Columnar RBT kernels.
+// The columnar RBT kernel.
 //
-// An RBT pair rotation touches exactly two attributes, but on the
-// row-major layout every pair pass still streams the whole matrix: each
-// row's cache line is pulled in to read two of its n values. The columnar
-// path gathers the (normalized) data into a column-major scratch buffer
-// once, runs every per-pair reduction and rotation over two *contiguous*
-// column slices, and scatters the result back to a row-major release —
-// so the K pair passes touch 2/n of the matrix each instead of all of it.
+// An RBT pair rotation touches exactly two attributes, but on a row-major
+// layout every pair pass would still stream the whole matrix: each row's
+// cache line is pulled in to read two of its n values. The kernel gathers
+// the (normalized) data into a column-major scratch buffer once, runs
+// every per-pair reduction and rotation over two *contiguous* column
+// slices, and scatters the result back to a row-major release — so the K
+// pair passes touch 2/n of the matrix each instead of all of it.
 //
-// Bit-identity with the row path is a hard requirement (the released
-// matrix must not depend on kernel choice, worker count, or layout) and
-// holds by construction:
+// internal/core is the kernel's oracle. With a single row block the
+// release and the key are bit-for-bit identical to norm.FitTransform
+// followed by core.Transform (colkernel_test.go locks this in):
 //
-//   - Normalization and rotation are element-wise; their arithmetic does
-//     not depend on storage order.
-//   - Every reduction keeps the row path's blocked decomposition: the
-//     same blockRows split, the same row order inside a block, the same
-//     block-order combination of partials. A float sum is only sensitive
-//     to the order of additions into each accumulator, and that order is
-//     unchanged.
-//   - Angle draws consume opts.Rand in the same sequence, so the keys
-//     match bit-for-bit too (colkernel_test.go locks all of this in).
+//   - Normalization and rotation are element-wise, with the exact
+//     arithmetic of internal/norm and rotate.Pair; storage order does not
+//     change them.
+//   - Every reduction is blocked: a fixed blockRows split, row order
+//     inside a block, block-order combination of partials. With one block
+//     that is core's serial row-order sum; with several, the result
+//     depends on blockRows but never on the worker count.
+//   - Angle draws consume opts.Rand in core.Transform's sequence.
 //
 // Fusion: normalization is fused into the gather (the transpose pass
 // writes already-normalized values), and when the pair schedule is
@@ -44,41 +43,6 @@ import (
 	"ppclust/internal/stats"
 )
 
-// Arena is caller-owned reusable backing memory for Protect. A zero Arena
-// is ready to use; buffers grow on demand and are reused by the next call.
-// It is not safe for concurrent use, and results returned from a Protect
-// that used the arena alias its memory — they are valid only until the
-// arena's next use.
-type Arena struct {
-	out    []float64
-	cols   []float64
-	cols32 []float32
-}
-
-// release returns an m×n output matrix backed by the arena, or a fresh
-// allocation when the receiver is nil (no arena supplied).
-func (a *Arena) release(m, n int) *matrix.Dense {
-	if a == nil {
-		return matrix.NewDense(m, n, nil)
-	}
-	a.out = growF64(a.out, m*n)
-	return matrix.NewDense(m, n, a.out)
-}
-
-func growF64(buf []float64, size int) []float64 {
-	if cap(buf) >= size {
-		return buf[:size]
-	}
-	return make([]float64, size)
-}
-
-func growF32(buf []float32, size int) []float32 {
-	if cap(buf) >= size {
-		return buf[:size]
-	}
-	return make([]float32, size)
-}
-
 // getColScratch returns a pooled column-major gather buffer of at least
 // size elements.
 func (e *Engine) getColScratch(size int) []float64 {
@@ -91,17 +55,6 @@ func (e *Engine) getColScratch(size int) []float64 {
 }
 
 func (e *Engine) putColScratch(buf []float64) { e.colScratch.Put(buf[:cap(buf)]) } //nolint:staticcheck
-
-func (e *Engine) getCol32Scratch(size int) []float32 {
-	if v := e.col32Scratch.Get(); v != nil {
-		if buf := v.([]float32); cap(buf) >= size {
-			return buf[:size]
-		}
-	}
-	return make([]float32, size)
-}
-
-func (e *Engine) putCol32Scratch(buf []float32) { e.col32Scratch.Put(buf[:cap(buf)]) } //nolint:staticcheck
 
 // pairsDisjoint reports whether no attribute index appears in two pairs —
 // the condition under which per-pair first moments can be computed during
@@ -117,14 +70,10 @@ func pairsDisjoint(pairs []core.Pair, n int) bool {
 	return true
 }
 
-// protectColumnar is the column-major pipeline: fit Step 1 statistics on
-// the row-major input (shared, bit-identical reductions), gather+normalize
-// into column-major scratch, rotate pairs over contiguous columns, scatter
-// back to a row-major release.
+// protectColumnar is the protect pipeline: fit Step 1 statistics on the
+// row-major input, gather+normalize into column-major scratch, rotate
+// pairs over contiguous columns, scatter back to a row-major release.
 func (e *Engine) protectColumnar(ctx context.Context, data *matrix.Dense, opts ProtectOptions, pl *protectPlan) (*ProtectResult, error) {
-	if pl.precision == PrecisionFloat32 {
-		return e.protectColumnar32(ctx, data, opts, pl)
-	}
 	m, n := pl.m, pl.n
 	res := &ProtectResult{Normalization: pl.method, Columns: n}
 
@@ -149,17 +98,11 @@ func (e *Engine) protectColumnar(ctx context.Context, data *matrix.Dense, opts P
 		res.ParamsA, res.ParamsB = paramsA, paramsB
 	}
 
-	var cols []float64
-	if ar := opts.Arena; ar != nil {
-		ar.cols = growF64(ar.cols, m*n)
-		cols = ar.cols
-	} else {
-		cols = e.getColScratch(m * n)
-		defer e.putColScratch(cols)
-	}
+	cols := e.getColScratch(m * n)
+	defer e.putColScratch(cols)
 
 	// With a disjoint schedule the gather also accumulates each block's
-	// per-column sums: exactly the first pass of pairCurve, in the same
+	// per-column sums: exactly the first pass of colPairSums, in the same
 	// row and block order, so the fused sums are bit-identical to the
 	// unfused ones.
 	fuseSums := pairsDisjoint(pl.pairs, n)
@@ -242,7 +185,7 @@ func (e *Engine) protectColumnar(ctx context.Context, data *matrix.Dense, opts P
 		res.Reports = append(res.Reports, report)
 	}
 
-	out := opts.Arena.release(m, n)
+	out := matrix.NewDense(m, n, nil)
 	e.forBlocks(m, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			dst := out.RawRow(r)
@@ -255,8 +198,8 @@ func (e *Engine) protectColumnar(ctx context.Context, data *matrix.Dense, opts P
 	return res, nil
 }
 
-// colPairSums is pairCurve's first pass over two contiguous columns:
-// blocked per-column sums, combined in block order.
+// colPairSums is the first pass of a pair's variance curve over two
+// contiguous columns: blocked per-column sums, combined in block order.
 func (e *Engine) colPairSums(ci, cj []float64, m int) (sx, sy float64) {
 	nb := e.numBlocks(m)
 	part := e.getScratch(nb * 3)
@@ -277,8 +220,9 @@ func (e *Engine) colPairSums(ci, cj []float64, m int) (sx, sy float64) {
 	return sx, sy
 }
 
-// colPairCurve is pairCurve's second pass over two contiguous columns:
-// blocked centered moments around the means derived from (sx, sy).
+// colPairCurve is the second pass of a pair's variance curve over two
+// contiguous columns: blocked centered moments around the means derived
+// from (sx, sy).
 func (e *Engine) colPairCurve(ci, cj []float64, m int, sx, sy float64, d stats.Denominator) *core.VarianceCurve {
 	mx, my := sx/float64(m), sy/float64(m)
 	nb := e.numBlocks(m)
@@ -320,154 +264,4 @@ func (e *Engine) colRotatePair(ci, cj []float64, m int, thetaDeg float64) {
 			cj[r] = -sth*ai + cth*aj
 		}
 	})
-}
-
-// protectColumnar32 is the opt-in single-precision columnar pipeline.
-// Step 1 statistics are still fitted in float64 on the original data (so
-// the Secret's parameters are full precision); the gathered matrix, the
-// per-pair moments' inputs and the rotations are float32, with float64
-// accumulators for every reduction. The release is therefore approximate:
-// recover reproduces the original only to within float32 rounding of the
-// normalized values (the Float32RecoverError test measures the bound).
-// The PST check still holds for the variance curve of the float32 data,
-// which is what the release actually exposes.
-func (e *Engine) protectColumnar32(ctx context.Context, data *matrix.Dense, opts ProtectOptions, pl *protectPlan) (*ProtectResult, error) {
-	m, n := pl.m, pl.n
-	res := &ProtectResult{Normalization: pl.method, Columns: n}
-
-	ctx, normSpan := obs.Start(ctx, "engine.normalize")
-	normSpan.Set("rows", m)
-	var paramsA, paramsB []float64
-	var err error
-	switch pl.method {
-	case NormZScore:
-		paramsA, paramsB, err = e.fitZScore(data)
-	case NormMinMax:
-		paramsA, paramsB, err = e.fitMinMax(data)
-	case NormNone:
-	default:
-		err = fmt.Errorf("%w: unknown normalization %q", core.ErrBadInput, pl.method)
-	}
-	if err != nil {
-		normSpan.End()
-		return nil, err
-	}
-	if pl.method != NormNone {
-		res.ParamsA, res.ParamsB = paramsA, paramsB
-	}
-
-	var cols []float32
-	if ar := opts.Arena; ar != nil {
-		ar.cols32 = growF32(ar.cols32, m*n)
-		cols = ar.cols32
-	} else {
-		cols = e.getCol32Scratch(m * n)
-		defer e.putCol32Scratch(cols)
-	}
-
-	var bad atomic.Bool
-	e.forBlocks(m, func(lo, hi int) {
-		switch pl.method {
-		case NormZScore:
-			for r := lo; r < hi; r++ {
-				for j, v := range data.RawRow(r) {
-					cols[j*m+r] = float32((v - paramsA[j]) / paramsB[j])
-				}
-			}
-		case NormMinMax:
-			for r := lo; r < hi; r++ {
-				for j, v := range data.RawRow(r) {
-					cols[j*m+r] = float32((v - paramsA[j]) / (paramsB[j] - paramsA[j]))
-				}
-			}
-		case NormNone:
-			for r := lo; r < hi; r++ {
-				for j, v := range data.RawRow(r) {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						bad.Store(true)
-					}
-					cols[j*m+r] = float32(v)
-				}
-			}
-		}
-	})
-	normSpan.End()
-	if bad.Load() {
-		return nil, fmt.Errorf("%w: data contains NaN or Inf", core.ErrBadInput)
-	}
-
-	_, rotSpan := obs.Start(ctx, "engine.rotate")
-	rotSpan.Set("pairs", len(pl.pairs))
-	defer rotSpan.End()
-	res.Key = core.Key{Pairs: append([]core.Pair(nil), pl.pairs...), AnglesDeg: make([]float64, len(pl.pairs))}
-	nb := e.numBlocks(m)
-	part := e.getScratch(nb * 3)
-	defer e.putScratch(part)
-	for k, p := range pl.pairs {
-		ci, cj := cols[p.I*m:(p.I+1)*m], cols[p.J*m:(p.J+1)*m]
-		e.forBlocks(m, func(lo, hi int) {
-			var bx, by float64
-			for r := lo; r < hi; r++ {
-				bx += float64(ci[r])
-				by += float64(cj[r])
-			}
-			b := lo / e.blockRows
-			part[b*3], part[b*3+1] = bx, by
-		})
-		var sx, sy float64
-		for b := 0; b < nb; b++ {
-			sx += part[b*3]
-			sy += part[b*3+1]
-		}
-		mx, my := sx/float64(m), sy/float64(m)
-		e.forBlocks(m, func(lo, hi int) {
-			var ssx, ssy, sxy float64
-			for r := lo; r < hi; r++ {
-				dx, dy := float64(ci[r])-mx, float64(cj[r])-my
-				ssx += dx * dx
-				ssy += dy * dy
-				sxy += dx * dy
-			}
-			b := lo / e.blockRows
-			part[b*3], part[b*3+1], part[b*3+2] = ssx, ssy, sxy
-		})
-		var ssx, ssy, sxy float64
-		for b := 0; b < nb; b++ {
-			ssx += part[b*3]
-			ssy += part[b*3+1]
-			sxy += part[b*3+2]
-		}
-		div := float64(m)
-		if opts.Denominator == stats.Sample {
-			div = float64(m - 1)
-		}
-		curve := &core.VarianceCurve{VarX: ssx / div, VarY: ssy / div, Cov: sxy / div}
-		theta, report, err := pickPairAngle(pl, opts, k, curve)
-		if err != nil {
-			return nil, err
-		}
-		rad := rotate.Degrees(theta)
-		cth, sth := float32(math.Cos(rad)), float32(math.Sin(rad))
-		e.forBlocks(m, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				ai, aj := ci[r], cj[r]
-				ci[r] = cth*ai + sth*aj
-				cj[r] = -sth*ai + cth*aj
-			}
-		})
-		res.Key.AnglesDeg[k] = theta
-		res.Reports = append(res.Reports, report)
-	}
-
-	out := opts.Arena.release(m, n)
-	e.forBlocks(m, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			dst := out.RawRow(r)
-			for j := range dst {
-				dst[j] = float64(cols[j*m+r])
-			}
-		}
-	})
-	res.Released = out
-	return res, nil
 }

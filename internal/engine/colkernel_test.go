@@ -1,240 +1,188 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ppclust/internal/core"
 	"ppclust/internal/matrix"
+	"ppclust/internal/norm"
+	"ppclust/internal/stats"
 )
 
-// protectBoth runs the same options through the row and columnar layouts
-// with a fixed seed and returns both results.
-func protectBoth(t *testing.T, e *Engine, data *matrix.Dense, opts ProtectOptions) (rows, cols *ProtectResult) {
+// gridCols and gridMethods span the kernel's branches: even column counts
+// get the disjoint round-robin schedule (sums fused into the gather), odd
+// ones an overlapping schedule (per-pair sums).
+var (
+	gridCols    = []int{4, 7, 16}
+	gridMethods = []string{NormZScore, NormMinMax, NormNone}
+)
+
+// oracle runs the reference pipeline: norm.FitTransform for Step 1, then
+// core.Transform for Step 2. It returns the fitted Step 1 parameters
+// alongside core's result so callers can compare them too.
+func oracle(t *testing.T, data *matrix.Dense, method string, opts core.Options) (res *core.Result, paramsA, paramsB []float64) {
 	t.Helper()
-	opts.Layout = LayoutRows
-	rows, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatalf("rows layout: %v", err)
+	normalized := data
+	var err error
+	switch method {
+	case NormZScore:
+		z := &norm.ZScore{Denominator: stats.Sample}
+		if normalized, err = norm.FitTransform(z, data); err != nil {
+			t.Fatal(err)
+		}
+		paramsA, paramsB = z.Params()
+	case NormMinMax:
+		mm := &norm.MinMax{}
+		if normalized, err = norm.FitTransform(mm, data); err != nil {
+			t.Fatal(err)
+		}
+		paramsA, paramsB = mm.Params()
 	}
-	opts.Layout = LayoutColumnar
-	cols, err = e.Protect(data, opts)
-	if err != nil {
-		t.Fatalf("columnar layout: %v", err)
+	if res, err = core.Transform(normalized, opts); err != nil {
+		t.Fatal(err)
 	}
-	return rows, cols
+	return res, paramsA, paramsB
 }
 
-// TestColumnarMatchesRows locks in the tentpole invariant: the float64
-// columnar kernel is bit-for-bit identical to the row kernel for every
-// normalization, for even (disjoint round-robin schedule, fused sums) and
-// odd (overlapping schedule, per-pair sums) column counts, and for any
-// worker count.
-func TestColumnarMatchesRows(t *testing.T) {
-	for _, n := range []int{4, 7, 16} {
-		data := randData(20011, n, int64(100+n))
-		for _, method := range []string{NormZScore, NormMinMax, NormNone} {
-			for _, w := range []int{1, 2, 3, 8} {
-				e := New(w, 0)
-				opts := ProtectOptions{
-					Normalization: method,
-					Thresholds:    []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-					Seed:          4242,
-				}
-				rows, cols := protectBoth(t, e, data, opts)
-				if !matrix.Equal(rows.Released, cols.Released) {
-					t.Fatalf("n=%d %s w=%d: columnar release differs from row release", n, method, w)
-				}
-				for k := range rows.Key.AnglesDeg {
-					if rows.Key.AnglesDeg[k] != cols.Key.AnglesDeg[k] {
-						t.Fatalf("n=%d %s w=%d: angle %d differs: %v vs %v",
-							n, method, w, k, rows.Key.AnglesDeg[k], cols.Key.AnglesDeg[k])
-					}
-				}
-				for j := range rows.ParamsA {
-					if rows.ParamsA[j] != cols.ParamsA[j] || rows.ParamsB[j] != cols.ParamsB[j] {
-						t.Fatalf("n=%d %s w=%d: normalization params differ at column %d", n, method, w, j)
-					}
-				}
+// sameBits reports whether a and b hold bit-identical elements.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// assertSameResult fails unless two protect outcomes agree bit for bit in
+// release, angles and fitted parameters.
+func assertSameResult(t *testing.T, label string, want, got *ProtectResult) {
+	t.Helper()
+	if !sameBits(want.Released.Raw(), got.Released.Raw()) {
+		t.Fatalf("%s: released matrix differs", label)
+	}
+	if !sameBits(want.Key.AnglesDeg, got.Key.AnglesDeg) {
+		t.Fatalf("%s: angles differ: %v vs %v", label, want.Key.AnglesDeg, got.Key.AnglesDeg)
+	}
+	if !sameBits(want.ParamsA, got.ParamsA) || !sameBits(want.ParamsB, got.ParamsB) {
+		t.Fatalf("%s: normalization params differ", label)
+	}
+}
+
+// TestKernelMatchesCore makes internal/core the kernel's oracle: with one
+// row block (blockRows >= m) Protect must reproduce norm.FitTransform +
+// core.Transform bit for bit — release, angles and Step 1 parameters —
+// across every column count and normalization of the grid.
+func TestKernelMatchesCore(t *testing.T) {
+	const m, seed = 3000, 4242
+	pst := []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}
+	for _, n := range gridCols {
+		data := randData(m, n, int64(100+n))
+		for _, method := range gridMethods {
+			label := fmt.Sprintf("n=%d %s", n, method)
+			got, err := New(4, m).Protect(data, ProtectOptions{Normalization: method, Thresholds: pst, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			want, paramsA, paramsB := oracle(t, data, method, core.Options{
+				Thresholds: pst,
+				Rand:       rand.New(rand.NewSource(seed)),
+			})
+			if !sameBits(want.DPrime.Raw(), got.Released.Raw()) {
+				t.Fatalf("%s: release differs from core.Transform", label)
+			}
+			if !sameBits(want.Key.AnglesDeg, got.Key.AnglesDeg) {
+				t.Fatalf("%s: angles differ from core.Transform: %v vs %v", label, want.Key.AnglesDeg, got.Key.AnglesDeg)
+			}
+			if !sameBits(paramsA, got.ParamsA) || !sameBits(paramsB, got.ParamsB) {
+				t.Fatalf("%s: normalization params differ from internal/norm", label)
 			}
 		}
 	}
 }
 
-// TestColumnarFixedAngles covers the fixed-angle branch (no RNG use) and
-// an explicit overlapping pair schedule on the columnar path.
+// TestColumnarFixedAngles covers the fixed-angle branch (no RNG use) with
+// an explicit overlapping pair schedule against the core oracle.
 func TestColumnarFixedAngles(t *testing.T) {
-	data := randData(5003, 4, 9)
-	opts := ProtectOptions{
-		Normalization: NormZScore,
-		Pairs:         []core.Pair{{I: 0, J: 1}, {I: 1, J: 2}, {I: 2, J: 3}},
-		Thresholds:    []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-		FixedAngles:   []float64{33, 120, 261},
-	}
-	e := New(4, 0)
-	rows, cols := protectBoth(t, e, data, opts)
-	if !matrix.Equal(rows.Released, cols.Released) {
-		t.Fatal("fixed-angle columnar release differs from row release")
-	}
-}
-
-// TestColumnarArenaReuse verifies a reused Arena yields the same release
-// as arena-free calls and that the result aliases arena memory.
-func TestColumnarArenaReuse(t *testing.T) {
-	data := randData(9001, 6, 21)
-	e := New(4, 0)
-	opts := ProtectOptions{Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}, Seed: 7}
-	want, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar := &Arena{}
-	opts.Arena = ar
-	for i := 0; i < 3; i++ {
-		got, err := e.Protect(data, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.Equal(want.Released, got.Released) {
-			t.Fatalf("arena run %d differs from arena-free release", i)
-		}
-		if &got.Released.Raw()[0] != &ar.out[0] {
-			t.Fatalf("arena run %d: release does not alias the arena", i)
-		}
-	}
-}
-
-// TestColumnarAllocSteadyState pins the scratch-arena satellite: with a
-// caller Arena, steady-state Protect performs only O(1) small allocations
-// (result structs, reports, fitted params) and allocates no memory
-// proportional to the data — the gather buffer and the release are reused.
-func TestColumnarAllocSteadyState(t *testing.T) {
-	data := randData(40000, 8, 33)
-	e := New(1, 0) // single worker: forBlocks spawns no goroutines to count
-	ar := &Arena{}
-	opts := ProtectOptions{
-		Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-		Seed:       11,
-		Arena:      ar,
-	}
-	if _, err := e.Protect(data, opts); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := e.Protect(data, opts); err != nil {
-			t.Fatal(err)
-		}
+	const m = 5003
+	data := randData(m, 4, 9)
+	pairs := []core.Pair{{I: 0, J: 1}, {I: 1, J: 2}, {I: 2, J: 3}}
+	pst := []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}
+	angles := []float64{33, 120, 261}
+	got, err := New(4, m).Protect(data, ProtectOptions{
+		Normalization: NormZScore, Pairs: pairs, Thresholds: pst, FixedAngles: angles,
 	})
-	if allocs > 64 {
-		t.Fatalf("steady-state protect made %.0f allocations, want <= 64", allocs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	const iters = 5
-	for i := 0; i < iters; i++ {
-		if _, err := e.Protect(data, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / iters
-	// Data is 40000×8×8B = 2.4 MiB; without reuse each call would allocate
-	// ≥ 5 MiB (release + gather buffer). 256 KiB leaves room for the O(1)
-	// result machinery while proving the big buffers are reused.
-	if perOp > 256<<10 {
-		t.Fatalf("steady-state protect allocated %d bytes/op, want <= 256KiB", perOp)
+	want, _, _ := oracle(t, data, NormZScore, core.Options{Pairs: pairs, Thresholds: pst, FixedAngles: angles})
+	if !sameBits(want.DPrime.Raw(), got.Released.Raw()) {
+		t.Fatal("fixed-angle release differs from core.Transform")
 	}
 }
 
-// TestFloat32RecoverError measures the float32 kernel's approximation: the
-// release must recover the original to within a small relative error (the
-// documented bound), and the float64 path must stay bit-exact.
-func TestFloat32RecoverError(t *testing.T) {
-	data := randData(20000, 8, 55)
-	e := New(4, 0)
-	opts := ProtectOptions{
-		Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-		Seed:       99,
-		Precision:  PrecisionFloat32,
-	}
-	res, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := e.Recover(res.Released, res.Secret())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scale-relative bound: normalized values are O(1) with float32
-	// rounding ~6e-8 amplified through one rotation and the denormalize
-	// multiply; 1e-4 relative to the column scale is comfortably above
-	// the measured ~1e-6 worst case and far below any analytic use.
-	var worst float64
-	for j := 0; j < data.Cols(); j++ {
-		scale := res.ParamsB[j]
-		for i := 0; i < data.Rows(); i++ {
-			relErr := math.Abs(rec.At(i, j)-data.At(i, j)) / scale
-			if relErr > worst {
-				worst = relErr
+// TestColumnarAllocSteadyState pins the pooled gather buffer: with the
+// pool warm, default Protect allocates the release and O(1) small result
+// state, never a second data-sized buffer, so neither the allocation count
+// nor the bytes beyond the release grow with the row count. A regression
+// from the colScratch pool to a per-call gather allocation (12.8 MB at
+// 100k×16) fails the byte check.
+func TestColumnarAllocSteadyState(t *testing.T) {
+	const n, small = 16, 10_000
+	e := New(1, 0) // single worker: forBlocks spawns no goroutines to count
+	opts := ProtectOptions{Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}, Seed: 11}
+	measure := func(m int) (allocs float64, extraBytes uint64) {
+		data := randData(m, n, 33)
+		protect := func() {
+			if _, err := e.Protect(data, opts); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	t.Logf("float32 recover: worst scale-relative error %.3g", worst)
-	if worst > 1e-4 {
-		t.Fatalf("float32 recover error %.3g exceeds documented 1e-4 bound", worst)
-	}
-	// float64 mode stays bit-exact on the same inputs modulo denormalize
-	// rounding (the pre-existing round-trip tolerance).
-	opts.Precision = PrecisionFloat64
-	res64, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec64, err := e.Recover(res64.Released, res64.Secret())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.EqualApprox(rec64, data, 1e-9) {
-		t.Fatal("float64 columnar round trip drifted")
-	}
-}
-
-// TestFloat32StillPSTChecked makes sure the approximate kernel still
-// enforces variance thresholds against the float32 curve.
-func TestFloat32StillPSTChecked(t *testing.T) {
-	data := randData(512, 4, 3)
-	_, err := New(2, 0).Protect(data, ProtectOptions{
-		Thresholds:  []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-		FixedAngles: []float64{0, 0}, // θ=0 preserves variances: PST violated
-		Precision:   PrecisionFloat32,
-	})
-	if err == nil {
-		t.Fatal("float32 kernel accepted a PST-violating fixed angle")
-	}
-}
-
-// TestLayoutValidation rejects unknown layout/precision combinations.
-func TestLayoutValidation(t *testing.T) {
-	data := randData(64, 4, 1)
-	base := ProtectOptions{Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}, Seed: 1}
-	bad := []ProtectOptions{
-		{Layout: "diagonal"},
-		{Precision: "float16"},
-		{Layout: LayoutRows, Precision: PrecisionFloat32},
-	}
-	for i, o := range bad {
-		o.Thresholds, o.Seed = base.Thresholds, base.Seed
-		if _, err := New(1, 0).Protect(data, o); err == nil {
-			t.Fatalf("case %d: bad layout/precision accepted", i)
+		protect() // warm the pools
+		// A GC empties sync.Pools, and at 100k rows the release alone
+		// triggers one every few calls; hold GC off while counting so
+		// the count reflects the code, not the collector's pacing.
+		runtime.GC()
+		gcPercent := debug.SetGCPercent(-1)
+		allocs = testing.AllocsPerRun(3, protect)
+		debug.SetGCPercent(gcPercent)
+		// sync.Pool may drop a Put (always possible across two GCs, and
+		// at random under the race detector), so keep the cheapest of
+		// several calls: one call that reused the buffer proves reuse.
+		extraBytes = math.MaxUint64
+		for i := 0; i < 8; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			protect()
+			runtime.ReadMemStats(&after)
+			extraBytes = min(extraBytes, after.TotalAlloc-before.TotalAlloc-uint64(m*n*8))
 		}
+		return allocs, extraBytes
+	}
+	smallAllocs, smallBytes := measure(small)
+	bigAllocs, bigBytes := measure(10 * small)
+	t.Logf("allocs/op: %.0f at 10k rows, %.0f at 100k; bytes beyond the release: %d, %d",
+		smallAllocs, bigAllocs, smallBytes, bigBytes)
+	// The race detector drops pooled buffers at random, which makes
+	// allocation counts noisy; the byte check below still holds there.
+	if !raceEnabled && bigAllocs != smallAllocs {
+		t.Fatalf("allocations grow with rows: %.0f at 10k, %.0f at 100k", smallAllocs, bigAllocs)
+	}
+	if bigBytes > 256<<10 {
+		t.Fatalf("protect allocated %d bytes beyond the release at 100k rows, want <= 256KiB", bigBytes)
 	}
 }
 
-// TestColumnarNaNRejected mirrors the row path's NaN handling for
-// NormNone, where the check happens inside the gather.
+// TestColumnarNaNRejected: under NormNone the finiteness check happens
+// inside the gather.
 func TestColumnarNaNRejected(t *testing.T) {
 	data := randData(1000, 4, 2)
 	data.SetAt(517, 2, math.NaN())
@@ -244,40 +192,29 @@ func TestColumnarNaNRejected(t *testing.T) {
 		Seed:          3,
 	})
 	if err == nil {
-		t.Fatal("columnar NormNone accepted NaN input")
+		t.Fatal("NormNone accepted NaN input")
 	}
 }
 
-// TestColumnarSharedRand runs both layouts off one shared *rand.Rand to
-// prove they consume the stream identically (interleaving two sequences
-// would desynchronize the second call).
+// TestColumnarSharedRand runs two Protect calls off one shared *rand.Rand
+// and the same two fits through the core oracle off an identically seeded
+// source: the kernel must consume the stream exactly like core.Transform,
+// or the second call's angles would desynchronize.
 func TestColumnarSharedRand(t *testing.T) {
-	data := randData(4096, 6, 77)
-	e := New(3, 0)
-	opts := ProtectOptions{Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}}
-
-	opts.Rand = rand.New(rand.NewSource(5))
-	opts.Layout = LayoutRows
-	a1, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Rand = rand.New(rand.NewSource(5))
-	opts.Layout = LayoutColumnar
-	b1, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(a1.Released, b1.Released) || !matrix.Equal(a2.Released, b2.Released) {
-		t.Fatal("shared-rand sequences diverge between layouts")
+	const m = 4096
+	data := randData(m, 6, 77)
+	pst := []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}
+	e := New(3, m)
+	shared := rand.New(rand.NewSource(5))
+	ref := rand.New(rand.NewSource(5))
+	for call := 0; call < 2; call++ {
+		got, err := e.Protect(data, ProtectOptions{Thresholds: pst, Rand: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := oracle(t, data, NormZScore, core.Options{Thresholds: pst, Rand: ref})
+		if !sameBits(want.Key.AnglesDeg, got.Key.AnglesDeg) || !sameBits(want.DPrime.Raw(), got.Released.Raw()) {
+			t.Fatalf("call %d: shared-rand sequence diverges from core.Transform", call)
+		}
 	}
 }

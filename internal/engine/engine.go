@@ -8,8 +8,10 @@
 // reduction is *blocked*: rows are partitioned into fixed-size blocks,
 // each block is reduced in row order, and block partials are combined in
 // block order. The decomposition depends only on BlockRows, never on the
-// worker count, which makes Protect and Recover bit-for-bit identical for
-// any Workers setting (engine_test.go locks this in).
+// worker count, which makes Protect and the StreamProtector passes
+// bit-for-bit identical for any Workers setting (engine_test.go locks
+// this in). internal/core is the paper-faithful oracle: with a single
+// block, Protect reproduces norm.FitTransform + core.Transform bit for bit.
 package engine
 
 import (
@@ -25,7 +27,6 @@ import (
 
 	"ppclust/internal/core"
 	"ppclust/internal/matrix"
-	"ppclust/internal/obs"
 	"ppclust/internal/rotate"
 	"ppclust/internal/stats"
 )
@@ -50,15 +51,12 @@ const DefaultBlockRows = 8192
 type Engine struct {
 	workers   int
 	blockRows int
-	// scratch pools per-pass partial-reduction buffers so steady-state
-	// serving does not allocate per request.
-	scratch sync.Pool
-	// colScratch and col32Scratch pool the full-matrix column-major
-	// gather buffers of the columnar kernels. They are separate from
-	// scratch so a request for a tiny partial buffer never pins a
-	// multi-megabyte gather buffer out of circulation.
-	colScratch   sync.Pool
-	col32Scratch sync.Pool
+	// scratch pools the small per-pass partial-sum buffers and colScratch
+	// the full-matrix column-major gather buffer. They are separate pools
+	// so a request for a tiny partial buffer never pins a multi-megabyte
+	// gather buffer out of circulation.
+	scratch    sync.Pool
+	colScratch sync.Pool
 }
 
 // New returns an engine with the given worker count and row-block size.
@@ -110,40 +108,7 @@ type ProtectOptions struct {
 	Denominator stats.Denominator
 	// GridStep is the security-range scan resolution; 0 means 0.01°.
 	GridStep float64
-	// Layout selects the kernel layout: LayoutColumnar (the default when
-	// empty) gathers the data into column-major scratch so each pair
-	// rotation streams two contiguous columns instead of touching every
-	// row's cache line; LayoutRows is the original row-major path. The
-	// float64 columnar path is bit-for-bit identical to the row path
-	// (colkernel.go documents why), so the choice is purely about speed.
-	Layout string
-	// Precision selects the arithmetic width of the columnar kernel:
-	// PrecisionFloat64 (default when empty) or PrecisionFloat32, which
-	// halves kernel memory traffic at the cost of an approximate release
-	// (recover error is bounded by the float32 mantissa; see the
-	// Float32RecoverError test). Float32 requires the columnar layout.
-	Precision string
-	// Arena, when non-nil, supplies reusable backing memory for the
-	// released matrix (and the columnar gather buffer), so steady-state
-	// protect allocates ~nothing proportional to the data size. The
-	// returned Released matrix aliases the arena: it is only valid until
-	// the arena's next use, and an Arena must not be shared by concurrent
-	// Protect calls.
-	Arena *Arena
 }
-
-// Layout and Precision values for ProtectOptions.
-const (
-	// LayoutColumnar is the cache-blocked column-major kernel; the
-	// default.
-	LayoutColumnar = "columnar"
-	// LayoutRows is the original row-major kernel.
-	LayoutRows = "rows"
-	// PrecisionFloat64 is full-precision arithmetic; the default.
-	PrecisionFloat64 = "float64"
-	// PrecisionFloat32 is the opt-in approximate single-precision kernel.
-	PrecisionFloat32 = "float32"
-)
 
 // Secret is the frozen inversion state of a protection run: the rotation
 // key plus the normalization kind and parameters. It is structurally the
@@ -221,7 +186,8 @@ type ProtectResult struct {
 	Columns int
 }
 
-// Secret bundles the result's inversion state for Recover and streams.
+// Secret bundles the result's inversion state for stream protect and
+// recover.
 func (r *ProtectResult) Secret() Secret {
 	return Secret{
 		Key:           r.Key,
@@ -250,14 +216,10 @@ func (e *Engine) ProtectCtx(ctx context.Context, data *matrix.Dense, opts Protec
 	if err != nil {
 		return nil, err
 	}
-	if pl.layout == LayoutColumnar {
-		return e.protectColumnar(ctx, data, opts, pl)
-	}
-	return e.protectRows(ctx, data, opts, pl)
+	return e.protectColumnar(ctx, data, opts, pl)
 }
 
-// protectPlan is the validated, defaulted prologue state shared by the
-// row-major and columnar protect paths.
+// protectPlan is the validated, defaulted prologue state of a protect run.
 type protectPlan struct {
 	m, n       int
 	method     string
@@ -265,8 +227,6 @@ type protectPlan struct {
 	thresholds []core.PST
 	gridStep   float64
 	rng        *rand.Rand
-	layout     string
-	precision  string
 }
 
 // planProtect validates options and resolves every default, without
@@ -282,23 +242,6 @@ func (e *Engine) planProtect(data *matrix.Dense, opts ProtectOptions) (*protectP
 	method := opts.Normalization
 	if method == "" {
 		method = NormZScore
-	}
-	layout := opts.Layout
-	if layout == "" {
-		layout = LayoutColumnar
-	}
-	if layout != LayoutColumnar && layout != LayoutRows {
-		return nil, fmt.Errorf("%w: unknown layout %q", core.ErrBadInput, opts.Layout)
-	}
-	precision := opts.Precision
-	if precision == "" {
-		precision = PrecisionFloat64
-	}
-	if precision != PrecisionFloat64 && precision != PrecisionFloat32 {
-		return nil, fmt.Errorf("%w: unknown precision %q", core.ErrBadInput, opts.Precision)
-	}
-	if precision == PrecisionFloat32 && layout != LayoutColumnar {
-		return nil, fmt.Errorf("%w: the float32 kernel requires the columnar layout", core.ErrBadInput)
 	}
 	pairs := opts.Pairs
 	if pairs == nil {
@@ -331,13 +274,13 @@ func (e *Engine) planProtect(data *matrix.Dense, opts ProtectOptions) (*protectP
 	}
 	return &protectPlan{
 		m: m, n: n, method: method, pairs: pairs, thresholds: thresholds,
-		gridStep: gridStep, rng: rng, layout: layout, precision: precision,
+		gridStep: gridStep, rng: rng,
 	}, nil
 }
 
-// pickPairAngle runs the per-pair Step 2 policy shared by both layouts:
-// security range, fixed-angle PST check or random draw, and the report.
-// It consumes pl.rng exactly like core.Transform would.
+// pickPairAngle runs the per-pair Step 2 policy: security range,
+// fixed-angle PST check or random draw, and the report. It consumes
+// pl.rng exactly like core.Transform would.
 func pickPairAngle(pl *protectPlan, opts ProtectOptions, k int, curve *core.VarianceCurve) (float64, core.PairReport, error) {
 	p := pl.pairs[k]
 	ivs, err := curve.SecurityRange(pl.thresholds[k], pl.gridStep)
@@ -361,119 +304,8 @@ func pickPairAngle(pl *protectPlan, opts ProtectOptions, k int, curve *core.Vari
 	}, nil
 }
 
-// protectRows is the original row-major pipeline.
-func (e *Engine) protectRows(ctx context.Context, data *matrix.Dense, opts ProtectOptions, pl *protectPlan) (*ProtectResult, error) {
-	res := &ProtectResult{Normalization: pl.method, Columns: pl.n}
-	ctx, normSpan := obs.Start(ctx, "engine.normalize")
-	normSpan.Set("rows", pl.m)
-	out := opts.Arena.release(pl.m, pl.n)
-	err := e.normalize(data, out, pl.method, res)
-	normSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Released = out
-	_, rotSpan := obs.Start(ctx, "engine.rotate")
-	rotSpan.Set("pairs", len(pl.pairs))
-	defer rotSpan.End()
-	res.Key = core.Key{Pairs: append([]core.Pair(nil), pl.pairs...), AnglesDeg: make([]float64, len(pl.pairs))}
-	for k, p := range pl.pairs {
-		curve, err := e.pairCurve(out, p, opts.Denominator)
-		if err != nil {
-			return nil, fmt.Errorf("pair %d: %w", k, err)
-		}
-		theta, report, err := pickPairAngle(pl, opts, k, curve)
-		if err != nil {
-			return nil, err
-		}
-		e.rotatePair(out, p, theta)
-		res.Key.AnglesDeg[k] = theta
-		res.Reports = append(res.Reports, report)
-	}
-	return res, nil
-}
-
-// Recover inverts a release in one fused parallel pass: each worker undoes
-// the rotations in reverse order and the normalization for its row blocks.
-// It is bit-for-bit identical for any worker count, and accepts batches of
-// any size >= 1 (unlike Protect, it needs no statistics).
-func (e *Engine) Recover(released *matrix.Dense, s Secret) (*matrix.Dense, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	m, n := released.Dims()
-	if want := s.Cols(); n != want {
-		return nil, fmt.Errorf("%w: %d columns for a %d-column secret", core.ErrBadInput, n, want)
-	}
-	cths, sths := anglesToCosSin(s.Key.AnglesDeg)
-	out := matrix.NewDense(m, n, nil)
-	e.forBlocks(m, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := out.RawRow(r)
-			copy(row, released.RawRow(r))
-			for k := len(s.Key.Pairs) - 1; k >= 0; k-- {
-				p := s.Key.Pairs[k]
-				// Inverse rotation: R(-θ), i.e. the transpose of Eq. (1).
-				ai, aj := row[p.I], row[p.J]
-				row[p.I] = cths[k]*ai - sths[k]*aj
-				row[p.J] = sths[k]*ai + cths[k]*aj
-			}
-			denormalizeRow(row, s)
-		}
-	})
-	return out, nil
-}
-
-// normalize fits Step 1 on data with blocked parallel reductions and writes
-// the normalized copy into out (arena- or caller-supplied, fusing fit-apply
-// with the clone core.Transform would otherwise need). It records the
-// fitted parameters in res.
-func (e *Engine) normalize(data, out *matrix.Dense, method string, res *ProtectResult) error {
-	m := data.Rows()
-	switch method {
-	case NormNone:
-		finite := e.copyAndCheck(data, out)
-		if !finite {
-			return fmt.Errorf("%w: data contains NaN or Inf", core.ErrBadInput)
-		}
-		return nil
-	case NormZScore:
-		means, stds, err := e.fitZScore(data)
-		if err != nil {
-			return err
-		}
-		e.forBlocks(m, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				src, dst := data.RawRow(r), out.RawRow(r)
-				for j, v := range src {
-					dst[j] = (v - means[j]) / stds[j]
-				}
-			}
-		})
-		res.ParamsA, res.ParamsB = means, stds
-		return nil
-	case NormMinMax:
-		mins, maxs, err := e.fitMinMax(data)
-		if err != nil {
-			return err
-		}
-		e.forBlocks(m, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				src, dst := data.RawRow(r), out.RawRow(r)
-				for j, v := range src {
-					dst[j] = (v - mins[j]) / (maxs[j] - mins[j])
-				}
-			}
-		})
-		res.ParamsA, res.ParamsB = mins, maxs
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown normalization %q", core.ErrBadInput, method)
-	}
-}
-
 // fitZScore computes per-column means/stds and rejects zero-variance
-// columns; shared by the row and columnar normalize steps.
+// columns.
 func (e *Engine) fitZScore(data *matrix.Dense) (means, stds []float64, err error) {
 	means, stds, err = e.columnMeansStds(data, stats.Sample)
 	if err != nil {
@@ -487,8 +319,7 @@ func (e *Engine) fitZScore(data *matrix.Dense) (means, stds []float64, err error
 	return means, stds, nil
 }
 
-// fitMinMax computes per-column mins/maxs and rejects constant columns;
-// shared by the row and columnar normalize steps.
+// fitMinMax computes per-column mins/maxs and rejects constant columns.
 func (e *Engine) fitMinMax(data *matrix.Dense) (mins, maxs []float64, err error) {
 	mins, maxs, err = e.columnMinsMaxs(data)
 	if err != nil {
@@ -535,74 +366,6 @@ func denormalizeRow(row []float64, s Secret) {
 			row[j] = v*(s.ParamsB[j]-s.ParamsA[j]) + s.ParamsA[j]
 		}
 	}
-}
-
-// pairCurve computes the variance curve statistics of the ordered pair p
-// with a two-pass blocked reduction (means, then centered moments).
-func (e *Engine) pairCurve(data *matrix.Dense, p core.Pair, d stats.Denominator) (*core.VarianceCurve, error) {
-	m := data.Rows()
-	if m < 2 {
-		return nil, fmt.Errorf("%w: need at least 2 rows, got %d", core.ErrBadInput, m)
-	}
-	nb := e.numBlocks(m)
-	part := e.getScratch(nb * 3)
-	defer e.putScratch(part)
-
-	e.forBlocks(m, func(lo, hi int) {
-		var sx, sy float64
-		for r := lo; r < hi; r++ {
-			row := data.RawRow(r)
-			sx += row[p.I]
-			sy += row[p.J]
-		}
-		b := lo / e.blockRows
-		part[b*3], part[b*3+1] = sx, sy
-	})
-	var sx, sy float64
-	for b := 0; b < nb; b++ {
-		sx += part[b*3]
-		sy += part[b*3+1]
-	}
-	mx, my := sx/float64(m), sy/float64(m)
-
-	e.forBlocks(m, func(lo, hi int) {
-		var ssx, ssy, sxy float64
-		for r := lo; r < hi; r++ {
-			row := data.RawRow(r)
-			dx, dy := row[p.I]-mx, row[p.J]-my
-			ssx += dx * dx
-			ssy += dy * dy
-			sxy += dx * dy
-		}
-		b := lo / e.blockRows
-		part[b*3], part[b*3+1], part[b*3+2] = ssx, ssy, sxy
-	})
-	var ssx, ssy, sxy float64
-	for b := 0; b < nb; b++ {
-		ssx += part[b*3]
-		ssy += part[b*3+1]
-		sxy += part[b*3+2]
-	}
-	div := float64(m)
-	if d == stats.Sample {
-		div = float64(m - 1)
-	}
-	return &core.VarianceCurve{VarX: ssx / div, VarY: ssy / div, Cov: sxy / div}, nil
-}
-
-// rotatePair applies R(θ) to columns (p.I, p.J) in parallel row blocks,
-// with the exact per-row arithmetic of rotate.Pair.
-func (e *Engine) rotatePair(data *matrix.Dense, p core.Pair, thetaDeg float64) {
-	rad := rotate.Degrees(thetaDeg)
-	cth, sth := math.Cos(rad), math.Sin(rad)
-	e.forBlocks(data.Rows(), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := data.RawRow(r)
-			ai, aj := row[p.I], row[p.J]
-			row[p.I] = cth*ai + sth*aj
-			row[p.J] = -sth*ai + cth*aj
-		}
-	})
 }
 
 // columnMeansStds reduces per-column means and standard deviations in two
@@ -715,24 +478,6 @@ func (e *Engine) columnMinsMaxs(data *matrix.Dense) (mins, maxs []float64, err e
 		}
 	}
 	return mins, maxs, nil
-}
-
-// copyAndCheck copies src into dst block-parallel and reports whether every
-// value is finite.
-func (e *Engine) copyAndCheck(src, dst *matrix.Dense) bool {
-	var bad atomic.Bool
-	e.forBlocks(src.Rows(), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			s, d := src.RawRow(r), dst.RawRow(r)
-			copy(d, s)
-			for _, v := range s {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					bad.Store(true)
-				}
-			}
-		}
-	})
-	return !bad.Load()
 }
 
 // numBlocks returns the number of row blocks for m rows.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,32 +20,36 @@ func randData(m, n int, seed int64) *matrix.Dense {
 
 func tinyPST() []core.PST { return []core.PST{{Rho1: 1e-6, Rho2: 1e-6}} }
 
-// TestParallelSerialBitIdentical is the acceptance property of the engine:
-// the released matrix, key angles and reports must be byte-identical for
-// every worker count, including the degenerate serial one.
-func TestParallelSerialBitIdentical(t *testing.T) {
-	data := randData(20000, 7, 1)
-	opts := ProtectOptions{Thresholds: tinyPST(), Seed: 42, GridStep: 0.5}
-	ref, err := New(1, 4096).Protect(data, opts)
+// recoverWith inverts a release through the served recover path, a
+// StreamProtector built from the secret.
+func recoverWith(eng *Engine, released *matrix.Dense, s Secret) (*matrix.Dense, error) {
+	sp, err := eng.NewStreamProtector(s)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	for _, w := range []int{2, 3, 8} {
-		got, err := New(w, 4096).Protect(data, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !matrix.Equal(ref.Released, got.Released) {
-			t.Fatalf("workers=%d: released matrix differs from serial", w)
-		}
-		for k := range ref.Key.AnglesDeg {
-			if ref.Key.AnglesDeg[k] != got.Key.AnglesDeg[k] {
-				t.Fatalf("workers=%d: angle %d differs: %v vs %v", w, k, ref.Key.AnglesDeg[k], got.Key.AnglesDeg[k])
+	return sp.RecoverBatch(released)
+}
+
+// TestParallelSerialBitIdentical is the acceptance property of the engine:
+// with a multi-block decomposition, the released matrix, key angles and
+// fitted parameters must be byte-identical for every worker count,
+// including the degenerate serial one, across the n × normalization grid.
+func TestParallelSerialBitIdentical(t *testing.T) {
+	const blockRows = 4096
+	for _, n := range gridCols {
+		data := randData(20011, n, int64(200+n))
+		for _, method := range gridMethods {
+			opts := ProtectOptions{Normalization: method, Thresholds: tinyPST(), Seed: 42, GridStep: 0.5}
+			ref, err := New(1, blockRows).Protect(data, opts)
+			if err != nil {
+				t.Fatalf("n=%d %s serial: %v", n, method, err)
 			}
-		}
-		for j := range ref.ParamsA {
-			if ref.ParamsA[j] != got.ParamsA[j] || ref.ParamsB[j] != got.ParamsB[j] {
-				t.Fatalf("workers=%d: normalization params differ at column %d", w, j)
+			for _, w := range []int{2, 3, 8} {
+				got, err := New(w, blockRows).Protect(data, opts)
+				if err != nil {
+					t.Fatalf("n=%d %s workers=%d: %v", n, method, w, err)
+				}
+				assertSameResult(t, fmt.Sprintf("n=%d %s workers=%d", n, method, w), ref, got)
 			}
 		}
 	}
@@ -104,26 +109,21 @@ func TestMatchesCoreRandomAngles(t *testing.T) {
 	}
 }
 
-// TestZScorePipelineMatchesNorm compares the engine's fused normalize pass
+// TestZScorePipelineMatchesNorm compares the engine's blocked z-score fit
 // against the reference internal/norm implementation.
 func TestZScorePipelineMatchesNorm(t *testing.T) {
 	data := randData(4000, 5, 4)
-	res := &ProtectResult{}
-	got := matrix.NewDense(data.Rows(), data.Cols(), nil)
-	if err := New(4, 777).normalize(data, got, NormZScore, res); err != nil {
-		t.Fatal(err)
-	}
-	z := &norm.ZScore{Denominator: stats.Sample}
-	want, err := norm.FitTransform(z, data)
+	means, stds, err := New(4, 777).fitZScore(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.EqualApprox(got, want, 1e-12) {
-		t.Fatal("fused z-score pass disagrees with internal/norm")
+	z := &norm.ZScore{Denominator: stats.Sample}
+	if err := z.Fit(data); err != nil {
+		t.Fatal(err)
 	}
-	means, stds := z.Params()
-	for j := range means {
-		if math.Abs(res.ParamsA[j]-means[j]) > 1e-12 || math.Abs(res.ParamsB[j]-stds[j]) > 1e-12 {
+	wantMeans, wantStds := z.Params()
+	for j := range wantMeans {
+		if math.Abs(means[j]-wantMeans[j]) > 1e-12 || math.Abs(stds[j]-wantStds[j]) > 1e-12 {
 			t.Fatalf("column %d params drifted", j)
 		}
 	}
@@ -139,7 +139,7 @@ func TestProtectRecoverRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := eng.Recover(res.Released, res.Secret())
+			back, err := recoverWith(eng, res.Released, res.Secret())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,8 +150,8 @@ func TestProtectRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoverMatchesCore checks the fused parallel inverse against the
-// reference core.Recover on pre-normalized data.
+// TestRecoverMatchesCore checks the served fused inverse (RecoverBatch)
+// against the reference core.Recover on pre-normalized data.
 func TestRecoverMatchesCore(t *testing.T) {
 	data := randData(3000, 6, 6)
 	eng := New(5, 999)
@@ -163,12 +163,12 @@ func TestRecoverMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Recover(res.Released, res.Secret())
+	got, err := recoverWith(eng, res.Released, res.Secret())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.EqualApprox(got, want, 1e-12) {
-		t.Fatal("engine.Recover disagrees with core.Recover")
+		t.Fatal("RecoverBatch disagrees with core.Recover")
 	}
 }
 
@@ -242,16 +242,16 @@ func TestRecoverValidation(t *testing.T) {
 	}
 	bad := res.Secret()
 	bad.Normalization = "fourier"
-	if _, err := eng.Recover(res.Released, bad); err == nil {
+	if _, err := recoverWith(eng, res.Released, bad); err == nil {
 		t.Fatal("expected error for unknown normalization in secret")
 	}
 	bad = res.Secret()
 	bad.ParamsB[0] = 0
-	if _, err := eng.Recover(res.Released, bad); err == nil {
+	if _, err := recoverWith(eng, res.Released, bad); err == nil {
 		t.Fatal("expected error for zero std in secret")
 	}
 	narrow := res.Released.SelectCols([]int{0, 1, 2})
-	if _, err := eng.Recover(narrow, res.Secret()); err == nil {
+	if _, err := recoverWith(eng, narrow, res.Secret()); err == nil {
 		t.Fatal("expected error for column mismatch")
 	}
 }
@@ -345,7 +345,7 @@ func TestSecretExplicitColumns(t *testing.T) {
 	if _, err := sp.ProtectBatch(randData(6, 4, 25)); err != nil {
 		t.Fatalf("4-column batch rejected by 4-column secret: %v", err)
 	}
-	if _, err := eng.Recover(randData(6, 4, 26), s); err != nil {
+	if _, err := recoverWith(eng, randData(6, 4, 26), s); err != nil {
 		t.Fatalf("4-column recover rejected by 4-column secret: %v", err)
 	}
 	// Without the declaration the legacy pair-index inference kicks in.
@@ -357,7 +357,7 @@ func TestSecretExplicitColumns(t *testing.T) {
 	// rejected rather than trusted.
 	bad := res.Secret()
 	bad.Columns = 3
-	if _, err := eng.Recover(res.Released, bad); !errors.Is(err, core.ErrBadInput) {
+	if _, err := recoverWith(eng, res.Released, bad); !errors.Is(err, core.ErrBadInput) {
 		t.Fatalf("expected ErrBadInput for inconsistent column declaration, got %v", err)
 	}
 }

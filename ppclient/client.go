@@ -15,7 +15,6 @@ package ppclient
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,23 +22,12 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"ppclust/internal/codec"
-)
-
-// Wire format values for Client.Wire.
-const (
-	// WireBinary is the framed binary row-batch format
-	// (application/x-ppclust-rows) — the default.
-	WireBinary = codec.FormatName
-	// WireCSV forces text CSV for structured-row calls.
-	WireCSV = "csv"
 )
 
 // TraceHeader is the request-ID header the daemon adopts and reflects:
@@ -81,18 +69,6 @@ type Client struct {
 	// the request context cancels the wait.
 	RetryBackoff    time.Duration
 	RetryMaxBackoff time.Duration
-	// Wire selects the row wire format for the structured-row calls
-	// (UploadDataset, Contribute, DownloadDatasetRows). Empty or
-	// WireBinary sends the framed binary row-batch format; against a
-	// daemon that predates it (400 unknown-format) the client falls
-	// back to CSV once and remembers, so negotiation is transparent.
-	// WireCSV forces CSV from the first request.
-	Wire string
-
-	// wireCSV remembers a failed binary negotiation so later calls skip
-	// straight to CSV without re-probing.
-	wireCSV atomic.Bool
-
 	// ringTable, when loaded by UseRing, routes owner-scoped requests
 	// straight to the owner's home node.
 	ringMu    sync.RWMutex
@@ -258,29 +234,13 @@ func (c *Client) JoinFederation(ctx context.Context, id string) (*Federation, er
 // protects the rows under the federation's shared transform and stores
 // only the protected release; when the owner is the coordinator and the
 // federation is still open, this contribution fits and freezes the
-// shared key. Rows travel as framed binary batches unless Wire forces
-// CSV (or a binary-unaware daemon already forced the fallback).
+// shared key. Rows travel as framed binary batches.
 func (c *Client) Contribute(ctx context.Context, id string, columns []string, rows [][]float64) (*Federation, error) {
-	if c.useBinary() {
-		out, err := c.contributeBinary(ctx, id, columns, rows)
-		if err == nil || !wireUnsupported(err) {
-			return out, err
-		}
-		c.wireCSV.Store(true)
-	}
-	buf, err := renderCSV(columns, rows)
-	if err != nil {
-		return nil, err
-	}
-	return c.ContributeCSV(ctx, id, buf)
-}
-
-func (c *Client) contributeBinary(ctx context.Context, id string, columns []string, rows [][]float64) (*Federation, error) {
 	buf, err := renderBinary(columns, rows)
 	if err != nil {
 		return nil, err
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/federations/"+id+"/contribute?format="+WireBinary, buf)
+	req, err := c.newRequest(ctx, http.MethodPost, "/v1/federations/"+id+"/contribute?format="+codec.FormatName, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -290,21 +250,6 @@ func (c *Client) contributeBinary(ctx context.Context, id string, columns []stri
 		return nil, err
 	}
 	return &out, nil
-}
-
-// useBinary reports whether the next structured-row call should attempt
-// the binary wire format.
-func (c *Client) useBinary() bool {
-	return c.Wire != WireCSV && !c.wireCSV.Load()
-}
-
-// wireUnsupported recognizes the crisp 400 a binary-unaware daemon gives
-// the explicit format=binary query — the only error that should flip the
-// client to its CSV fallback.
-func wireUnsupported(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusBadRequest &&
-		strings.Contains(ae.Message, "unknown format")
 }
 
 // renderBinary frames a header plus numeric rows as binary row batches.
@@ -323,32 +268,6 @@ func renderBinary(columns []string, rows [][]float64) (*bytes.Buffer, error) {
 		}
 	}
 	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return &buf, nil
-}
-
-// renderCSV writes a header row of column names and numeric rows.
-func renderCSV(columns []string, rows [][]float64) (*bytes.Buffer, error) {
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	if err := w.Write(columns); err != nil {
-		return nil, err
-	}
-	rec := make([]string, len(columns))
-	for _, row := range rows {
-		if len(row) != len(columns) {
-			return nil, fmt.Errorf("ppclient: row has %d values, schema has %d columns", len(row), len(columns))
-		}
-		for j, v := range row {
-			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := w.Write(rec); err != nil {
-			return nil, err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
 		return nil, err
 	}
 	return &buf, nil
@@ -444,27 +363,10 @@ func (c *Client) DownloadDataset(ctx context.Context, name string) (string, erro
 
 // DownloadDatasetRows fetches one of the owner's stored datasets decoded
 // into column names and numeric rows. It asks for the framed binary
-// format — no float↔text conversion on either side — and falls back to
-// CSV transparently against a daemon that predates it (honoring Wire,
-// like the upload paths).
+// format, so there is no float↔text conversion on either side.
 func (c *Client) DownloadDatasetRows(ctx context.Context, name string) ([]string, [][]float64, error) {
-	if c.useBinary() {
-		cols, rows, err := c.downloadRowsBinary(ctx, name)
-		if err == nil || !wireUnsupported(err) {
-			return cols, rows, err
-		}
-		c.wireCSV.Store(true)
-	}
-	raw, err := c.DownloadDataset(ctx, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return parseCSVRows(strings.NewReader(raw))
-}
-
-func (c *Client) downloadRowsBinary(ctx context.Context, name string) ([]string, [][]float64, error) {
 	req, err := c.newRequest(ctx, http.MethodGet,
-		"/v1/datasets/"+url.PathEscape(name)+"/rows?format="+WireBinary, nil)
+		"/v1/datasets/"+url.PathEscape(name)+"/rows?format="+codec.FormatName, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -486,37 +388,6 @@ func (c *Client) downloadRowsBinary(ctx context.Context, name string) ([]string,
 		rows = append(rows, row)
 	}
 	return rd.Names(), rows, nil
-}
-
-// parseCSVRows decodes a header row of names plus numeric records.
-func parseCSVRows(r io.Reader) ([]string, [][]float64, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	var names []string
-	var rows [][]float64
-	for {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if names == nil {
-			names = rec
-			continue
-		}
-		row := make([]float64, len(rec))
-		for j, field := range rec {
-			v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("ppclient: row %d field %d: %w", len(rows), j, err)
-			}
-			row[j] = v
-		}
-		rows = append(rows, row)
-	}
-	return names, rows, nil
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -770,30 +641,13 @@ type DatasetMeta struct {
 
 // UploadDataset uploads rows as the owner's named dataset. The first
 // upload for an unknown owner claims the owner name; the minted token is
-// captured into c.Token. Rows travel as framed binary batches unless
-// Wire forces CSV (or a binary-unaware daemon already forced the
-// fallback).
+// captured into c.Token. Rows travel as framed binary batches.
 func (c *Client) UploadDataset(ctx context.Context, name string, columns []string, rows [][]float64) (*DatasetMeta, error) {
-	if c.useBinary() {
-		out, err := c.uploadDatasetBinary(ctx, name, columns, rows)
-		if err == nil || !wireUnsupported(err) {
-			return out, err
-		}
-		c.wireCSV.Store(true)
-	}
-	buf, err := renderCSV(columns, rows)
-	if err != nil {
-		return nil, err
-	}
-	return c.UploadDatasetCSV(ctx, name, buf, false)
-}
-
-func (c *Client) uploadDatasetBinary(ctx context.Context, name string, columns []string, rows [][]float64) (*DatasetMeta, error) {
 	buf, err := renderBinary(columns, rows)
 	if err != nil {
 		return nil, err
 	}
-	path := "/v1/datasets?name=" + url.QueryEscape(name) + "&format=" + WireBinary
+	path := "/v1/datasets?name=" + url.QueryEscape(name) + "&format=" + codec.FormatName
 	req, err := c.newRequest(ctx, http.MethodPost, path, buf)
 	if err != nil {
 		return nil, err

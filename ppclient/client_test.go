@@ -11,6 +11,7 @@ import (
 	"ppclust/internal/codec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -364,55 +365,47 @@ func TestWireNegotiationBinary(t *testing.T) {
 	}
 }
 
-// TestWireNegotiationFallback drives the client against a daemon that
-// predates the binary format: the first binary attempt gets the crisp
-// unknown-format 400, the client retries as CSV transparently, and — the
-// sticky part — the next call goes straight to CSV without re-probing.
-func TestWireNegotiationFallback(t *testing.T) {
+// TestWireBinaryAfterRejection: the structured-row calls speak only the
+// binary wire. A daemon answering 400 gets the error back unchanged, and
+// the next call still sends application/x-ppclust-rows — there is no CSV
+// retry and no sticky downgrade.
+func TestWireBinaryAfterRejection(t *testing.T) {
 	ctx := context.Background()
-	binaryProbes, csvUploads := 0, 0
+	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != "/v1/datasets" {
-			t.Errorf("unexpected call %s %s", r.Method, r.URL.Path)
-			w.WriteHeader(http.StatusNotFound)
-			return
+		calls.Add(1)
+		if r.URL.Query().Get("format") != codec.FormatName {
+			t.Errorf("%s %s: format = %q, want %q", r.Method, r.URL.Path, r.URL.Query().Get("format"), codec.FormatName)
 		}
-		if r.URL.Query().Get("format") == "binary" {
-			binaryProbes++
-			w.WriteHeader(http.StatusBadRequest)
-			w.Write([]byte(`{"error":{"code":"invalid","message":"unknown format \"binary\" (want csv or ndjson)"}}`))
-			return
+		if r.Method == http.MethodPost && r.Header.Get("Content-Type") != codec.ContentType {
+			t.Errorf("%s %s: content-type = %q", r.Method, r.URL.Path, r.Header.Get("Content-Type"))
 		}
-		if ct := r.Header.Get("Content-Type"); ct != "text/csv" {
-			t.Errorf("fallback content-type = %q", ct)
+		if r.Method == http.MethodGet && r.Header.Get("Accept") != codec.ContentType {
+			t.Errorf("%s %s: accept = %q", r.Method, r.URL.Path, r.Header.Get("Accept"))
 		}
-		body, _ := io.ReadAll(r.Body)
-		if !strings.HasPrefix(string(body), "a,b\n") {
-			t.Errorf("fallback body = %q", body)
-		}
-		csvUploads++
-		w.WriteHeader(http.StatusCreated)
-		w.Write([]byte(`{"owner":"alice","name":"d","rows":1,"cols":2}`))
+		w.WriteHeader(http.StatusBadRequest)
+		w.Write([]byte(`{"error":{"code":"invalid","message":"unknown format \"binary\" (want csv or ndjson)"}}`))
 	}))
 	defer ts.Close()
 
 	c := New(ts.URL, "alice")
-	for i := 0; i < 2; i++ {
-		if _, err := c.UploadDataset(ctx, "d", []string{"a", "b"}, [][]float64{{1, 2}}); err != nil {
-			t.Fatal(err)
+	cols, rows := []string{"a", "b"}, [][]float64{{1, 2}}
+	wantErr := func(what string, err error) {
+		t.Helper()
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Fatalf("%s: err = %v, want the daemon's 400", what, err)
 		}
 	}
-	if binaryProbes != 1 || csvUploads != 2 {
-		t.Fatalf("binary probes = %d (want 1), csv uploads = %d (want 2)", binaryProbes, csvUploads)
+	for i := 0; i < 2; i++ {
+		_, err := c.UploadDataset(ctx, "d", cols, rows)
+		wantErr("UploadDataset", err)
+		_, err = c.Contribute(ctx, "f", cols, rows)
+		wantErr("Contribute", err)
+		_, _, err = c.DownloadDatasetRows(ctx, "d")
+		wantErr("DownloadDatasetRows", err)
 	}
-
-	// Wire=csv skips the probe entirely.
-	c2 := New(ts.URL, "alice")
-	c2.Wire = WireCSV
-	if _, err := c2.UploadDataset(ctx, "d", []string{"a", "b"}, [][]float64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if binaryProbes != 1 {
-		t.Fatalf("Wire=csv still probed binary (%d probes)", binaryProbes)
+	if n := calls.Load(); n != 6 {
+		t.Fatalf("daemon saw %d requests, want 6 (one per call, no retries)", n)
 	}
 }
